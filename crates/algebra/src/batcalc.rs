@@ -652,14 +652,21 @@ mod tests {
     #[test]
     fn fused_grouped_matches_scalar_int() {
         let keys = Bat::from_ints(vec![1, 2, 1, 3, 2, 1]);
-        let vals = Bat::from_ints(vec![10, 20, 30, 40, 50, 60]);
-        for cand in [None, Some(Candidates::range(1, 5)), Some(Candidates::List(vec![0, 2, 5]))] {
-            let map = group_by(&[&keys], cand.as_ref()).unwrap();
-            for kind in all_kinds() {
-                let fused =
-                    fused_grouped_states(kind, Some(&vals), &map, cand.as_ref()).unwrap();
-                let scalar = aggregate_groups(kind, &vals, &map, cand.as_ref()).unwrap();
-                assert_eq!(fused, scalar, "kind {kind:?} cand {cand:?}");
+        let ints = Bat::from_ints(vec![10, 20, 30, 40, 50, 60]);
+        // Group 1 and group 2 SUMs wrap past i64::MAX / i64::MIN.
+        let wrapping = Bat::from_ints(vec![i64::MAX, i64::MIN, 1, 7, -1, i64::MAX]);
+        let stamps = Bat::from_vector(Vector::Timestamp(vec![30, -5, 10, 0, 99, 20].into()), 0);
+        for vals in [&ints, &wrapping, &stamps] {
+            for cand in
+                [None, Some(Candidates::range(1, 5)), Some(Candidates::List(vec![0, 2, 5]))]
+            {
+                let map = group_by(&[&keys], cand.as_ref()).unwrap();
+                for kind in all_kinds() {
+                    let fused =
+                        fused_grouped_states(kind, Some(vals), &map, cand.as_ref()).unwrap();
+                    let scalar = aggregate_groups(kind, vals, &map, cand.as_ref()).unwrap();
+                    assert_eq!(fused, scalar, "kind {kind:?} cand {cand:?} vals {vals:?}");
+                }
             }
         }
     }
@@ -668,14 +675,27 @@ mod tests {
     fn fused_grouped_matches_scalar_float() {
         let keys = Bat::from_ints(vec![7, 8, 7, 8]);
         let vals = Bat::from_floats(vec![0.1, 0.2, 0.3, 0.4]);
-        let map = group_by(&[&keys], None).unwrap();
-        for kind in [AggKind::Sum, AggKind::Avg] {
-            let fused = fused_grouped_states(kind, Some(&vals), &map, None).unwrap();
-            let scalar = aggregate_groups(kind, &vals, &map, None).unwrap();
-            assert_eq!(fused, scalar, "kind {kind:?}");
+        // Accumulation order shows in the bits: 1e16 + 1 + 1 - 1e16 is 0
+        // left to right, 2 in any order that adds the ones first.
+        let order = Bat::from_floats(vec![1e16, 1.0, 1.0, -0.0, -1e16, -0.0]);
+        let order_keys = Bat::from_ints(vec![1, 1, 1, 2, 1, 2]);
+        for (keys, vals) in [(&keys, &vals), (&order_keys, &order)] {
+            let map = group_by(&[keys], None).unwrap();
+            for kind in [AggKind::Sum, AggKind::Avg] {
+                let fused = fused_grouped_states(kind, Some(vals), &map, None).unwrap();
+                let scalar = aggregate_groups(kind, vals, &map, None).unwrap();
+                assert_eq!(format!("{fused:?}"), format!("{scalar:?}"), "kind {kind:?}");
+            }
         }
-        // Float MIN/MAX stays on the scalar path (NaN ordering).
-        assert!(fused_grouped_states(AggKind::Min, Some(&vals), &map, None).is_none());
+        // Float MIN/MAX stays on the scalar path (NaN and -0.0 ordering).
+        let map = group_by(&[&keys], None).unwrap();
+        let special = Bat::from_floats(vec![f64::NAN, -0.0, 0.0, f64::NAN]);
+        for vals in [&vals, &special] {
+            for kind in [AggKind::Min, AggKind::Max] {
+                assert!(fused_grouped_states(kind, Some(vals), &map, None).is_none());
+                assert!(fused_global_state(kind, Some(vals), &Candidates::all(vals)).is_none());
+            }
+        }
     }
 
     #[test]
@@ -712,7 +732,16 @@ mod tests {
             for kind in all_kinds() {
                 let fused = fused_global_state(kind, Some(&vals), &cand).unwrap();
                 let scalar = aggregate_all(kind, &vals, Some(&cand));
-                assert_eq!(fused.finalize(), scalar.finalize(), "kind {kind:?} cand {cand:?}");
+                assert_eq!(fused, scalar, "kind {kind:?} cand {cand:?}");
+            }
+        }
+        // Wrapping SUM and timestamp MIN/MAX, field for field.
+        let wrapping = Bat::from_ints(vec![i64::MAX, 2, i64::MIN, i64::MIN]);
+        let stamps = Bat::from_vector(Vector::Timestamp(vec![7, -3, 12].into()), 0);
+        for vals in [&wrapping, &stamps] {
+            for kind in all_kinds() {
+                let fused = fused_global_state(kind, Some(vals), &Candidates::all(vals)).unwrap();
+                assert_eq!(fused, aggregate_all(kind, vals, None), "kind {kind:?}");
             }
         }
     }
@@ -721,11 +750,17 @@ mod tests {
     fn fused_global_float_bit_identical() {
         // Same accumulation order as the scalar path ⇒ bit-identical sums.
         let vals = Bat::from_floats(vec![0.1, 0.7, 1e-9, 3.3, -0.5]);
-        let cand = Candidates::range(1, 4);
-        for kind in [AggKind::Sum, AggKind::Avg] {
-            let fused = fused_global_state(kind, Some(&vals), &cand).unwrap();
-            let scalar = aggregate_all(kind, &vals, Some(&cand));
-            assert_eq!(fused, scalar);
+        let order = Bat::from_floats(vec![1e16, 1.0, 1.0, -1e16, -0.0, f64::NAN]);
+        for (vals, cand) in [
+            (&vals, Candidates::range(1, 4)),
+            (&order, Candidates::range(0, 5)),
+            (&order, Candidates::all(&order)),
+        ] {
+            for kind in [AggKind::Sum, AggKind::Avg] {
+                let fused = fused_global_state(kind, Some(vals), &cand).unwrap();
+                let scalar = aggregate_all(kind, vals, Some(&cand));
+                assert_eq!(format!("{fused:?}"), format!("{scalar:?}"));
+            }
         }
     }
 

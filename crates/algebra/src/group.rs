@@ -6,6 +6,8 @@
 //! keys form their own single group (SQL GROUP BY semantics).
 
 use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use datacell_storage::{Bat, Chunk};
 
@@ -62,10 +64,13 @@ pub fn group_by(keys: &[&Bat], cand: Option<&Candidates>) -> Result<GroupMap> {
     if let [key] = keys {
         if !key.has_nulls() {
             if let Some(ints) = key.data().as_ints() {
-                return Ok(group_typed(&positions, |p| ints[p]));
+                return Ok(group_typed::<_, BuildHasherDefault<IntKeyHasher>>(
+                    &positions,
+                    |p| ints[p],
+                ));
             }
             if let Some(strs) = key.data().as_strs() {
-                return Ok(group_typed(&positions, |p| strs[p].as_str()));
+                return Ok(group_typed::<_, RandomState>(&positions, |p| strs[p].as_str()));
             }
         }
     }
@@ -89,14 +94,44 @@ pub fn group_by(keys: &[&Bat], cand: Option<&Candidates>) -> Result<GroupMap> {
     Ok(GroupMap { ids, representatives })
 }
 
+/// Fixed, non-randomised hasher for the typed integer group key: one
+/// folded 64×64→128-bit multiply spreads every key bit over both the low
+/// bits (bucket index) and the high bits (control tag) of the hash. Group
+/// ids come from first appearance, not from hash order, so the hasher
+/// never changes a result — only the cost of a lookup.
+#[derive(Default)]
+struct IntKeyHasher(u64);
+
+impl Hasher for IntKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_i64(&mut self, x: i64) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        const MUL: u64 = 0x5851_F42D_4C95_7F2D;
+        let full = u128::from(self.0 ^ x) * u128::from(MUL);
+        self.0 = (full as u64) ^ ((full >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Grouping driven by a borrowed typed key extractor (fast path helper).
-fn group_typed<K: std::hash::Hash + Eq>(
+fn group_typed<K: Hash + Eq, S: BuildHasher + Default>(
     positions: &[usize],
     key_at: impl Fn(usize) -> K,
 ) -> GroupMap {
     let mut ids = Vec::with_capacity(positions.len());
     let mut representatives = Vec::new();
-    let mut seen: HashMap<K, u32> = HashMap::with_capacity(16);
+    let mut seen: HashMap<K, u32, S> = HashMap::with_capacity_and_hasher(16, S::default());
     for &pos in positions {
         let next = seen.len() as u32;
         let id = *seen.entry(key_at(pos)).or_insert_with(|| {
@@ -146,6 +181,15 @@ mod tests {
         assert_eq!(g.ids, vec![0, 1, 0, 0, 1]);
         assert_eq!(g.representatives, vec![0, 1]);
         assert_eq!(group_counts(&g), vec![3, 2]);
+    }
+
+    #[test]
+    fn int_fast_path_keeps_first_appearance_order() {
+        // Extreme and power-of-two keys through the fixed integer hasher.
+        let b = Bat::from_ints(vec![i64::MIN, 0, 1024, -1, i64::MAX, 0, 1024, i64::MIN, 2048]);
+        let g = group_by(&[&b], None).unwrap();
+        assert_eq!(g.ids, vec![0, 1, 2, 3, 4, 1, 2, 0, 5]);
+        assert_eq!(g.representatives, vec![0, 1, 2, 3, 4, 8]);
     }
 
     #[test]

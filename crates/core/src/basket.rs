@@ -203,8 +203,9 @@ impl Basket {
         Ok(())
     }
 
-    /// Write-ahead: log `rows` as one batch starting at the current
-    /// high-water mark. Called after validation, before the append lands.
+    /// Write-ahead: log one batch of `n` tuples, starting at the current
+    /// high-water mark, as the record `encode` writes. Called after
+    /// validation, before the append lands.
     ///
     /// A write that exhausts the WAL's retry policy does **not** fail the
     /// push — losing availability over a disk hiccup would be worse than
@@ -213,17 +214,20 @@ impl Basket {
     /// un-durably, and the transition is surfaced loudly (engine stats,
     /// metrics gauge, flight-recorder event) via the drained
     /// [`Basket::take_degraded_event`] marker.
-    fn log_rows(&mut self, rows: &[Row]) -> StorageResult<()> {
+    fn log_batch(&mut self, n: usize, encode: impl FnOnce(&mut Vec<u8>, &Schema)) {
         let Some(log) = &mut self.wal else {
-            return Ok(());
+            return;
         };
         let mut buf = Vec::new();
-        binio::encode_batch(&mut buf, &self.schema, rows);
+        encode(&mut buf, &self.schema);
         let first = self.columns.first().map_or(0, Bat::oid_end);
-        if let Err(e) = log.append_batch(first, rows.len() as u32, &buf) {
+        if let Err(e) = log.append_batch(first, n as u32, &buf) {
             self.degrade(e.to_string());
         }
-        Ok(())
+    }
+
+    fn log_rows(&mut self, rows: &[Row]) {
+        self.log_batch(rows.len(), |buf, schema| binio::encode_batch(buf, schema, rows));
     }
 
     /// Basket name (= stream name).
@@ -287,7 +291,7 @@ impl Basket {
             return Ok(None);
         }
         self.schema.validate_row(row)?;
-        self.log_rows(std::slice::from_ref(row))?;
+        self.log_rows(std::slice::from_ref(row));
         let oid = self.high_water();
         for (col, val) in self.columns.iter_mut().zip(row) {
             col.push(val)?;
@@ -310,7 +314,7 @@ impl Basket {
         for row in rows {
             self.schema.validate_row(row)?;
         }
-        self.log_rows(rows)?;
+        self.log_rows(rows);
         for (j, col) in self.columns.iter_mut().enumerate() {
             col.extend_from_rows(rows, j)?;
         }
@@ -319,34 +323,29 @@ impl Basket {
         Ok(rows.len())
     }
 
-    /// Append a pre-built columnar chunk (receptor bulk path).
+    /// Append a pre-built columnar chunk (the binary and text `PUSH` bulk
+    /// path). Never materializes rows: the chunk is validated and logged
+    /// column-at-a-time, then appended column by column.
     pub fn push_chunk(&mut self, chunk: &Chunk) -> StorageResult<usize> {
         if self.paused {
             return Ok(0);
         }
         // Columnar schema gate: the zip-append below would silently
         // truncate a ragged chunk, so arity/type/NOT-NULL must be checked
-        // up front — this is the trust boundary for binary `PUSH` frames.
+        // up front — and before logging, since a batch that then failed
+        // to apply would leave a phantom record whose advanced OID chain
+        // truncates every later batch at recovery. A chunk that passes
+        // would pass `validate_row` on each of its rows.
         self.schema.validate_chunk(chunk)?;
-        if self.wal.is_some() {
-            // The durable path pays a row conversion here; the columnar
-            // fast path below is untouched when no log is attached. The
-            // rows must validate *before* they are logged — a batch that
-            // then failed to apply would leave a phantom record whose
-            // advanced OID chain truncates every later batch at recovery.
-            let rows: Vec<Row> = chunk.rows().collect();
-            for row in &rows {
-                self.schema.validate_row(row)?;
-            }
-            self.log_rows(&rows)?;
+        if chunk.is_empty() {
+            return Ok(0);
         }
+        self.log_batch(chunk.len(), |buf, schema| binio::encode_batch_chunk(buf, schema, chunk));
         for (col, inc) in self.columns.iter_mut().zip(chunk.columns()) {
             col.append(inc)?;
         }
         self.arrived += chunk.len() as u64;
-        if !chunk.is_empty() {
-            self.record_arrival();
-        }
+        self.record_arrival();
         Ok(chunk.len())
     }
 
@@ -697,5 +696,49 @@ mod tests {
         assert_eq!(b.push_chunk(&chunk).unwrap(), 2);
         assert_eq!(b.len(), 2);
         assert_eq!(b.arrived(), 2);
+    }
+
+    #[test]
+    fn durable_push_chunk_logs_the_push_rows_record() {
+        use datacell_wal::{SharedStats, StreamBatch, SyncPolicy};
+        use std::sync::Arc;
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let open = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!("datacell-basket-{tag}-{nanos}"));
+            let stats = Arc::new(SharedStats::default());
+            (StreamLog::open(&dir, SyncPolicy::Never, 1 << 20, stats), dir)
+        };
+        let rows = vec![row(1, 0.5), vec![Value::Int(2), Value::Null], row(3, -0.0)];
+        let mut chunk_basket = basket();
+        let mut row_basket = basket();
+        let (log, chunk_dir) = open("chunk");
+        chunk_basket.attach_wal(log.unwrap().0);
+        let (log, row_dir) = open("rows");
+        row_basket.attach_wal(log.unwrap().0);
+
+        let mut ts = Bat::new(DataType::Int);
+        let mut v = Bat::new(DataType::Float);
+        for r in &rows {
+            ts.push(&r[0]).unwrap();
+            v.push(&r[1]).unwrap();
+        }
+        let chunk = Chunk::new(vec![ts, v]).unwrap();
+        assert_eq!(chunk_basket.push_chunk(&chunk).unwrap(), 3);
+        // An empty chunk is validated but logs no record, like push_rows(&[]).
+        let empty = Chunk::new(vec![Bat::new(DataType::Int), Bat::new(DataType::Float)]).unwrap();
+        assert_eq!(chunk_basket.push_chunk(&empty).unwrap(), 0);
+        assert_eq!(row_basket.push_rows(&rows).unwrap(), 3);
+        assert_eq!(row_basket.push_rows(&[]).unwrap(), 0);
+        drop((chunk_basket, row_basket));
+
+        let replay = |tag: &str| -> Vec<StreamBatch> { open(tag).0.unwrap().1 };
+        let logged = replay("chunk");
+        assert_eq!(logged.len(), 1);
+        assert_eq!(logged, replay("rows"));
+        std::fs::remove_dir_all(&chunk_dir).ok();
+        std::fs::remove_dir_all(&row_dir).ok();
     }
 }

@@ -11,8 +11,9 @@
 use std::collections::HashMap;
 
 use datacell_algebra::{
-    aggregate_groups, fetch_chunk, group_by, hash_join, sort_positions, states_to_bat,
-    AggState, Candidates, SortKey, SortOrder,
+    aggregate_all, aggregate_groups, fetch_chunk, fused_global_state, fused_grouped_states,
+    group_by, hash_join, sort_positions, states_to_bat, AggState, Candidates, SortKey,
+    SortOrder,
 };
 use datacell_storage::{Bat, Chunk};
 
@@ -209,6 +210,11 @@ impl GroupedStates {
 }
 
 /// Compute the partial aggregation states of one chunk.
+///
+/// Each aggregate runs through the fused typed kernels first
+/// ([`fused_global_state`] / [`fused_grouped_states`]); only the shapes
+/// they decline — NULLs, strings/bools, float MIN/MAX — take the per-row
+/// path. Both produce field-identical states.
 pub fn aggregate_states(
     chunk: &Chunk,
     group_exprs: &[BoundExpr],
@@ -219,24 +225,23 @@ pub fn aggregate_states(
     } else {
         Candidates::all(chunk.column(0))
     };
+    // Argument columns, evaluated over every candidate row (`None` for
+    // COUNT(*), which needs no values).
+    let eval_arg = |spec: &crate::logical::AggSpec| -> Result<Option<Bat>> {
+        spec.arg.as_ref().map(|arg| eval_expr(arg, chunk, &cand)).transpose()
+    };
 
     if group_exprs.is_empty() {
         // Global aggregation: one state per aggregate.
         let mut agg_states = Vec::with_capacity(aggs.len());
         for spec in aggs {
-            let mut st = AggState::new(spec.kind);
-            match &spec.arg {
-                Some(arg) => {
-                    let vals = eval_expr(arg, chunk, &cand)?;
-                    st.update_bulk(&vals, None);
-                }
-                None => {
-                    // COUNT(*): every candidate row counts.
-                    for _ in 0..cand.len() {
-                        st.update(&datacell_storage::Value::Bool(true));
-                    }
-                }
-            }
+            let vals = eval_arg(spec)?;
+            let st = match &vals {
+                Some(v) => fused_global_state(spec.kind, Some(v), &Candidates::all(v))
+                    .unwrap_or_else(|| aggregate_all(spec.kind, v, None)),
+                None => fused_global_state(spec.kind, None, &cand)
+                    .ok_or_else(|| PlanError::Internal("COUNT(*) kernel declined".into()))?,
+            };
             agg_states.push(vec![st]);
         }
         return Ok(GroupedStates { group_keys: Vec::new(), agg_states });
@@ -251,15 +256,12 @@ pub fn aggregate_states(
 
     let mut agg_states = Vec::with_capacity(aggs.len());
     for spec in aggs {
-        let states = match &spec.arg {
-            Some(arg) => {
-                let vals = eval_expr(arg, chunk, &cand)?;
-                aggregate_groups(spec.kind, &vals, &map, None)?
-            }
-            None => {
-                // COUNT(*): aggregate a constant over the groups.
-                let ones = Bat::from_ints(vec![1; map.len()]);
-                aggregate_groups(spec.kind, &ones, &map, None)?
+        let vals = eval_arg(spec)?;
+        let states = match (fused_grouped_states(spec.kind, vals.as_ref(), &map, None), &vals) {
+            (Some(states), _) => states,
+            (None, Some(v)) => aggregate_groups(spec.kind, v, &map, None)?,
+            (None, None) => {
+                return Err(PlanError::Internal("COUNT(*) kernel declined".into()))
             }
         };
         agg_states.push(states);
@@ -481,6 +483,68 @@ mod tests {
         assert_eq!(trace[0].op, "Scan");
         assert_eq!(trace[1].op, "Filter");
         assert_eq!(trace[1].rows_out, 5);
+    }
+
+    #[test]
+    fn aggregate_states_fused_or_not_matches_the_per_row_path() {
+        // Columns: key, wrapping ints, timestamps, order-sensitive floats,
+        // floats with NaN/-0.0, ints with a NULL, strings.
+        let mut nullable = Bat::new(DataType::Int);
+        for v in [Value::Int(4), Value::Null, Value::Int(-4), Value::Int(9)] {
+            nullable.push(&v).unwrap();
+        }
+        let chunk = Chunk::new(vec![
+            Bat::from_ints(vec![1, 2, 1, 1]),
+            Bat::from_ints(vec![i64::MAX, 5, 1, i64::MAX]),
+            Bat::from_vector(datacell_storage::Vector::Timestamp(vec![9, -2, 4, 7].into()), 0),
+            Bat::from_floats(vec![1e16, 0.5, 1.0, -1e16]),
+            Bat::from_floats(vec![-0.0, f64::NAN, 0.0, f64::NAN]),
+            nullable,
+            Bat::from_vector(
+                datacell_storage::Vector::from(
+                    ["b", "a", "c", "a"].map(String::from).to_vec(),
+                ),
+                0,
+            ),
+        ])
+        .unwrap();
+        let kinds = [
+            AggKind::CountStar,
+            AggKind::Count,
+            AggKind::Sum,
+            AggKind::Avg,
+            AggKind::Min,
+            AggKind::Max,
+        ];
+        let mut aggs = Vec::new();
+        for col in 1..chunk.arity() {
+            for kind in kinds {
+                let numeric = col < 6;
+                if !numeric && matches!(kind, AggKind::Sum | AggKind::Avg) {
+                    continue;
+                }
+                let arg = (kind != AggKind::CountStar).then_some(BoundExpr::Col(col));
+                aggs.push(AggSpec { kind, arg, name: "a".into(), ty: DataType::Int });
+            }
+        }
+        let key = chunk.column(0);
+        let map = group_by(&[key], None).unwrap();
+        for grouped in [false, true] {
+            let group_exprs = if grouped { vec![BoundExpr::Col(0)] } else { vec![] };
+            let states = aggregate_states(&chunk, &group_exprs, &aggs).unwrap();
+            for (spec, got) in aggs.iter().zip(&states.agg_states) {
+                let vals = match &spec.arg {
+                    Some(BoundExpr::Col(c)) => chunk.column(*c).clone(),
+                    _ => Bat::from_ints(vec![1; chunk.len()]),
+                };
+                let per_row = if grouped {
+                    aggregate_groups(spec.kind, &vals, &map, None).unwrap()
+                } else {
+                    vec![datacell_algebra::aggregate_all(spec.kind, &vals, None)]
+                };
+                assert_eq!(format!("{got:?}"), format!("{per_row:?}"), "{:?}", spec.arg);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use datacell_storage::binio::{self, ByteReader};
 use datacell_storage::{Row, Schema};
 
 use crate::frame::{self, Frame, FrameBuf};
-use crate::protocol::{decode_hex, decode_row, encode_row, split_fields, PUSH_END};
+use crate::protocol::{decode_hex, decode_row, encode_rows, split_fields, PUSH_END};
 use crate::session::{LineReader, ReadLine};
 
 /// Socket read granularity in binary mode.
@@ -443,10 +443,7 @@ impl Client {
             self.stream.write_all(&bytes)?;
         } else {
             let mut block = format!("PUSH {stream}\n");
-            for row in rows {
-                block.push_str(&encode_row(row));
-                block.push('\n');
-            }
+            encode_rows(&mut block, rows);
             block.push_str(PUSH_END);
             block.push('\n');
             self.stream.write_all(block.as_bytes())?;

@@ -48,10 +48,10 @@
 //! `@<micros>` — the same rendering `Value`'s `Display` uses, so a wire
 //! chunk is byte-identical to encoding the in-process chunk.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use datacell_core::ExecutionMode;
-use datacell_storage::{Chunk, DataType, Row, Schema, Value};
+use datacell_storage::{Bat, Chunk, ColumnDef, DataType, Row, Schema, Value, Vector};
 
 /// Terminator line for a `PUSH` row block.
 pub const PUSH_END: &str = "END";
@@ -273,19 +273,20 @@ pub fn parse_command(line: &str) -> Result<Command, ProtocolError> {
 
 // ---- value / row CSV encoding ----------------------------------------
 
-/// Encode one value as a CSV field. Strings are always quoted (with `""`
-/// escaping), everything else uses `Value`'s `Display` rendering — which
-/// makes `NULL`, booleans, numbers and `@micros` timestamps unambiguous.
+/// Append one value to `out` as a CSV field. Strings are always quoted
+/// (with `""` escaping), everything else uses `Value`'s `Display`
+/// rendering — which makes `NULL`, booleans, numbers and `@micros`
+/// timestamps unambiguous.
 ///
 /// Because the framing is line-oriented, newlines (and backslashes)
 /// inside quoted strings are backslash-escaped: `\n`, `\r`, `\\`. A raw
 /// newline must never reach the wire inside a field, or it would split
 /// the frame — and, on the `PUSH` path, let data inject protocol
 /// commands.
-pub fn encode_value(v: &Value) -> String {
+pub fn encode_value(out: &mut String, v: &Value) {
     match v {
         Value::Str(s) => {
-            let mut out = String::with_capacity(s.len() + 2);
+            out.reserve(s.len() + 2);
             out.push('"');
             for c in s.chars() {
                 match c {
@@ -297,31 +298,49 @@ pub fn encode_value(v: &Value) -> String {
                 }
             }
             out.push('"');
-            out
         }
-        other => other.to_string(),
+        // Writing into a `String` cannot fail.
+        other => {
+            let _ = write!(out, "{other}");
+        }
     }
 }
 
-/// Encode a row as one CSV line (no trailing newline).
-pub fn encode_row(row: &[Value]) -> String {
-    row.iter().map(encode_value).collect::<Vec<_>>().join(",")
+/// Append a row to `out` as one CSV line (no trailing newline). The one
+/// CSV row writer: client `PUSH` blocks, `CHUNK` frames and `ROWS`
+/// replies all go through it.
+pub fn encode_row(out: &mut String, row: &[Value]) {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        encode_value(out, v);
+    }
 }
 
 /// Encode a column-name list as one CSV line (names are quoted only when
 /// they contain a delimiter or quote).
 pub fn encode_names(names: &[String]) -> String {
-    names
-        .iter()
-        .map(|n| {
-            if n.contains([',', '"']) {
-                encode_value(&Value::Str(n.clone()))
-            } else {
-                n.clone()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    for (i, n) in names.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if n.contains([',', '"']) {
+            encode_value(&mut out, &Value::Str(n.clone()));
+        } else {
+            out.push_str(n);
+        }
+    }
+    out
+}
+
+/// Append `rows` to `out`, one `\n`-terminated CSV line each.
+pub fn encode_rows<R: AsRef<[Value]>>(out: &mut String, rows: impl IntoIterator<Item = R>) {
+    for row in rows {
+        encode_row(out, row.as_ref());
+        out.push('\n');
+    }
 }
 
 /// Encode one result chunk as a `CHUNK` frame (header + rows, each line
@@ -329,10 +348,7 @@ pub fn encode_names(names: &[String]) -> String {
 /// number — the client's resume cursor.
 pub fn encode_chunk(query: u64, seq: u64, chunk: &Chunk) -> String {
     let mut out = format!("CHUNK {query} {} {seq}\n", chunk.len());
-    for row in chunk.rows() {
-        out.push_str(&encode_row(&row));
-        out.push('\n');
-    }
+    encode_rows(&mut out, chunk.rows());
     out
 }
 
@@ -442,16 +458,22 @@ pub fn decode_row(line: &str) -> Result<Row, ProtocolError> {
     split_fields(line)?.iter().map(decode_value).collect()
 }
 
-/// Decode one ingest row against a stream schema (`PUSH` path): each field
-/// is coerced to its column's type; empty or `NULL` bare fields are NULL.
+fn arity_mismatch(fields: usize, schema: &Schema) -> ProtocolError {
+    err(format!("row has {fields} fields, stream has {} columns", schema.arity()))
+}
+
+fn bad_field(col: &ColumnDef, text: &str) -> ProtocolError {
+    err(format!("column {:?} ({:?}): bad field {text:?}", col.name, col.ty))
+}
+
+/// Decode one ingest row against a stream schema: each field is coerced
+/// to its column's type; empty or `NULL` bare fields are NULL. The
+/// row-at-a-time reference for [`ChunkDecoder`], which hands it every line
+/// that holds a quote.
 pub fn decode_typed_row(line: &str, schema: &Schema) -> Result<Row, ProtocolError> {
     let fields = split_fields(line)?;
     if fields.len() != schema.arity() {
-        return Err(err(format!(
-            "row has {} fields, stream has {} columns",
-            fields.len(),
-            schema.arity()
-        )));
+        return Err(arity_mismatch(fields.len(), schema));
     }
     fields
         .iter()
@@ -474,11 +496,215 @@ pub fn decode_typed_row(line: &str, schema: &Schema) -> Result<Row, ProtocolErro
                     .ok()
                     .map(Value::Timestamp),
             };
-            parsed.ok_or_else(|| {
-                err(format!("column {:?} ({:?}): bad field {t:?}", col.name, col.ty))
-            })
+            parsed.ok_or_else(|| bad_field(col, t))
         })
         .collect()
+}
+
+/// One typed column buffer of a [`ChunkDecoder`].
+#[derive(Debug)]
+enum ColumnBuf {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<String>),
+    Timestamp(Vec<i64>),
+}
+
+/// A column under construction: typed values plus a validity map that is
+/// only allocated once the column receives its first NULL.
+#[derive(Debug)]
+struct TypedColumn {
+    data: ColumnBuf,
+    validity: Option<Vec<bool>>,
+}
+
+impl TypedColumn {
+    fn new(ty: DataType) -> TypedColumn {
+        let data = match ty {
+            DataType::Bool => ColumnBuf::Bool(Vec::new()),
+            DataType::Int => ColumnBuf::Int(Vec::new()),
+            DataType::Float => ColumnBuf::Float(Vec::new()),
+            DataType::Str => ColumnBuf::Str(Vec::new()),
+            DataType::Timestamp => ColumnBuf::Timestamp(Vec::new()),
+        };
+        TypedColumn { data, validity: None }
+    }
+
+    fn len(&self) -> usize {
+        match &self.data {
+            ColumnBuf::Bool(v) => v.len(),
+            ColumnBuf::Int(v) | ColumnBuf::Timestamp(v) => v.len(),
+            ColumnBuf::Float(v) => v.len(),
+            ColumnBuf::Str(v) => v.len(),
+        }
+    }
+
+    fn mark_valid(&mut self) {
+        if let Some(v) = &mut self.validity {
+            v.push(true);
+        }
+    }
+
+    /// Append a NULL: the type's zero value plus a `false` validity slot.
+    fn push_null(&mut self) {
+        let before = self.len();
+        match &mut self.data {
+            ColumnBuf::Bool(v) => v.push(false),
+            ColumnBuf::Int(v) | ColumnBuf::Timestamp(v) => v.push(0),
+            ColumnBuf::Float(v) => v.push(0.0),
+            ColumnBuf::Str(v) => v.push(String::new()),
+        }
+        self.validity.get_or_insert_with(|| vec![true; before]).push(false);
+    }
+
+    /// Parse and append one bare, non-NULL field — the same per-type rules
+    /// as [`decode_typed_row`]. `false` (nothing appended) when the text
+    /// does not parse as the column's type.
+    fn push_text(&mut self, t: &str) -> bool {
+        let ok = match &mut self.data {
+            ColumnBuf::Str(v) => {
+                v.push(t.to_owned());
+                true
+            }
+            ColumnBuf::Bool(v) => t.parse().map(|b| v.push(b)).is_ok(),
+            ColumnBuf::Int(v) => t.parse().map(|x| v.push(x)).is_ok(),
+            ColumnBuf::Float(v) => t.parse().map(|x| v.push(x)).is_ok(),
+            ColumnBuf::Timestamp(v) => {
+                t.strip_prefix('@').unwrap_or(t).parse().map(|x| v.push(x)).is_ok()
+            }
+        };
+        if ok {
+            self.mark_valid();
+        }
+        ok
+    }
+
+    /// Append a value decoded by [`decode_typed_row`]; `false` when its
+    /// type is not the column's.
+    fn push_value(&mut self, value: Value) -> bool {
+        match (&mut self.data, value) {
+            (_, Value::Null) => {
+                self.push_null();
+                return true;
+            }
+            (ColumnBuf::Bool(v), Value::Bool(b)) => v.push(b),
+            (ColumnBuf::Int(v), Value::Int(x)) => v.push(x),
+            (ColumnBuf::Float(v), Value::Float(x)) => v.push(x),
+            (ColumnBuf::Str(v), Value::Str(s)) => v.push(s),
+            (ColumnBuf::Timestamp(v), Value::Timestamp(t)) => v.push(t),
+            _ => return false,
+        }
+        self.mark_valid();
+        true
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match &mut self.data {
+            ColumnBuf::Bool(v) => v.truncate(len),
+            ColumnBuf::Int(v) | ColumnBuf::Timestamp(v) => v.truncate(len),
+            ColumnBuf::Float(v) => v.truncate(len),
+            ColumnBuf::Str(v) => v.truncate(len),
+        }
+        if let Some(v) = &mut self.validity {
+            v.truncate(len);
+        }
+    }
+
+    fn into_bat(self) -> Result<Bat, ProtocolError> {
+        let data = match self.data {
+            ColumnBuf::Bool(v) => Vector::Bool(v.into()),
+            ColumnBuf::Int(v) => Vector::Int(v.into()),
+            ColumnBuf::Float(v) => Vector::Float(v.into()),
+            ColumnBuf::Str(v) => Vector::Str(v.into()),
+            ColumnBuf::Timestamp(v) => Vector::Timestamp(v.into()),
+        };
+        Bat::from_parts(data, 0, self.validity).map_err(|e| err(e.to_string()))
+    }
+}
+
+/// Column-at-a-time decoder of a text `PUSH` block: each CSV line is
+/// parsed straight into one typed buffer per schema column, and the block
+/// becomes one [`Chunk`] — the same shape a binary `PUSH` frame decodes
+/// to — without building a `Row` per line.
+///
+/// A line holding a `"` goes through [`decode_typed_row`], so quoting and
+/// escapes keep a single implementation; every other line is split on
+/// `,` in place. Either way a line yields the values, or the error text,
+/// `decode_typed_row` gives for it.
+#[derive(Debug)]
+pub struct ChunkDecoder {
+    schema: Schema,
+    columns: Vec<TypedColumn>,
+    rows: usize,
+}
+
+impl ChunkDecoder {
+    /// An empty decoder for rows of `schema`.
+    pub fn new(schema: Schema) -> ChunkDecoder {
+        let columns = schema.columns().iter().map(|c| TypedColumn::new(c.ty)).collect();
+        ChunkDecoder { schema, columns, rows: 0 }
+    }
+
+    /// Rows decoded so far.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Decode one CSV line into the column buffers. On error nothing of
+    /// the line is kept, and the message is prefixed `row <n>:` with the
+    /// line's 1-based position in the block.
+    pub fn push_line(&mut self, line: &str) -> Result<(), ProtocolError> {
+        match self.decode(line) {
+            Ok(()) => {
+                self.rows += 1;
+                Ok(())
+            }
+            Err(e) => {
+                for c in &mut self.columns {
+                    c.truncate(self.rows);
+                }
+                Err(err(format!("row {}: {}", self.rows + 1, e.0)))
+            }
+        }
+    }
+
+    fn decode(&mut self, line: &str) -> Result<(), ProtocolError> {
+        if line.contains('"') {
+            let row = decode_typed_row(line, &self.schema)?;
+            let cells = row.into_iter().zip(self.schema.columns()).zip(&mut self.columns);
+            for ((value, def), col) in cells {
+                if !col.push_value(value) {
+                    return Err(err(format!("column {:?}: decoded a {:?} of another type", def.name, def.ty)));
+                }
+            }
+            return Ok(());
+        }
+        let fields = 1 + line.bytes().filter(|&b| b == b',').count();
+        if fields != self.schema.arity() {
+            return Err(arity_mismatch(fields, &self.schema));
+        }
+        let cells = line.split(',').zip(self.schema.columns()).zip(&mut self.columns);
+        for ((text, def), col) in cells {
+            if text.is_empty() || text == "NULL" {
+                col.push_null();
+            } else if !col.push_text(text) {
+                return Err(bad_field(def, text));
+            }
+        }
+        Ok(())
+    }
+
+    /// The decoded block as one chunk (OID heads at 0; the receiving
+    /// basket renumbers on append).
+    pub fn finish(self) -> Result<Chunk, ProtocolError> {
+        let columns = self
+            .columns
+            .into_iter()
+            .map(TypedColumn::into_bat)
+            .collect::<Result<Vec<_>, _>>()?;
+        Chunk::new(columns).map_err(|e| err(e.to_string()))
+    }
 }
 
 /// Render an error reply line (newlines folded so the frame stays one line).
@@ -521,7 +747,12 @@ pub fn decode_hex(s: &str) -> Result<Vec<u8>, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datacell_storage::Bat;
+
+    fn row_line(row: &[Value]) -> String {
+        let mut out = String::new();
+        encode_row(&mut out, row);
+        out
+    }
 
     #[test]
     fn parse_basic_commands() {
@@ -662,19 +893,23 @@ mod tests {
             Value::Str("multi\nline\r\\slash".into()),
             Value::Timestamp(99),
         ];
-        let line = encode_row(&row);
+        let line = row_line(&row);
         assert_eq!(decode_row(&line).unwrap(), row);
     }
 
     #[test]
     fn encoding_is_stable() {
-        assert_eq!(encode_value(&Value::Float(2.0)), "2.0");
-        assert_eq!(encode_value(&Value::Timestamp(5)), "@5");
-        assert_eq!(encode_value(&Value::Str("a\"b".into())), "\"a\"\"b\"");
+        assert_eq!(row_line(&[Value::Float(2.0)]), "2.0");
+        assert_eq!(row_line(&[Value::Timestamp(5)]), "@5");
+        assert_eq!(row_line(&[Value::Str("a\"b".into())]), "\"a\"\"b\"");
         assert_eq!(
-            encode_row(&[Value::Int(1), Value::Str("x,y".into())]),
+            row_line(&[Value::Int(1), Value::Str("x,y".into())]),
             "1,\"x,y\""
         );
+        // The writer appends to what the caller already has.
+        let mut out = String::from("PUSH s\n");
+        encode_rows(&mut out, [vec![Value::Null, Value::Bool(false)], vec![Value::Int(-3)]]);
+        assert_eq!(out, "PUSH s\nNULL,false\n-3\n");
     }
 
     #[test]
@@ -682,7 +917,7 @@ mod tests {
         // A newline inside a value must not split the line frame (it
         // would desync the protocol — or inject commands via PUSH).
         let v = Value::Str("a\nEND\nSHUTDOWN".into());
-        let encoded = encode_value(&v);
+        let encoded = row_line(std::slice::from_ref(&v));
         assert!(!encoded.contains('\n'), "raw newline leaked: {encoded:?}");
         assert_eq!(encoded, "\"a\\nEND\\nSHUTDOWN\"");
         assert_eq!(decode_row(&encoded).unwrap(), vec![v]);
@@ -753,6 +988,149 @@ mod tests {
         assert_eq!(err_line("boom\nline2"), "ERR boom; line2\n");
     }
 
+    fn all_types() -> Schema {
+        Schema::of(&[
+            ("ts", DataType::Timestamp),
+            ("v", DataType::Int),
+            ("ok", DataType::Bool),
+            ("x", DataType::Float),
+            ("tag", DataType::Str),
+        ])
+    }
+
+    /// Decode `lines` both ways: the columnar block and, per line, the
+    /// row decoder — as `Debug` text, so NaN and -0.0 compare exactly.
+    fn both_ways(schema: &Schema, lines: &[String]) -> (Vec<String>, Vec<String>) {
+        let mut d = ChunkDecoder::new(schema.clone());
+        let mut by_rows = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let cols = d.push_line(line);
+            match decode_typed_row(line, schema) {
+                Ok(row) => {
+                    assert!(cols.is_ok(), "{line:?}: {cols:?}");
+                    by_rows.push(format!("{row:?}"));
+                }
+                Err(e) => {
+                    let want = format!("row {}: {}", d.rows() + 1, e.0);
+                    assert_eq!(cols.unwrap_err().0, want, "line {i}: {line:?}");
+                }
+            }
+        }
+        let chunk = d.finish().unwrap();
+        assert_eq!(chunk.len(), by_rows.len());
+        let by_cols = chunk.rows().map(|r| format!("{r:?}")).collect();
+        (by_cols, by_rows)
+    }
+
+    #[test]
+    fn chunk_decoder_reports_the_row_decoders_errors() {
+        let schema = all_types();
+        let cases = [
+            ("@1,2", "row 1: row has 2 fields, stream has 5 columns"),
+            ("@1,2,true,0.5,a,b", "row 1: row has 6 fields, stream has 5 columns"),
+            // Arity is judged before any field.
+            ("x,y", "row 1: row has 2 fields, stream has 5 columns"),
+            ("@x,2,true,0.5,a", "row 1: column \"ts\" (Timestamp): bad field \"@x\""),
+            ("@1,2.5,true,0.5,a", "row 1: column \"v\" (Int): bad field \"2.5\""),
+            ("@1,2,yes,0.5,a", "row 1: column \"ok\" (Bool): bad field \"yes\""),
+            ("@1,2,true,0.5x,a", "row 1: column \"x\" (Float): bad field \"0.5x\""),
+            ("@1,\"2\",true,0.5,a", "row 1: column \"v\" (Int): bad field \"2\""),
+            ("@1,2,true,0.5,\"a\\q\"", "row 1: bad escape \\q in quoted field"),
+            ("@1,2,true,0.5,\"open", "row 1: unterminated quoted field"),
+            ("@1,2,true,0.5,\"a\"b", "row 1: unexpected 'b' after quoted field"),
+            ("@1,2,true,0.5,a\"b", "row 1: quote inside unquoted field"),
+        ];
+        for (line, want) in cases {
+            let mut d = ChunkDecoder::new(schema.clone());
+            assert_eq!(d.push_line(line).unwrap_err().0, want, "{line:?}");
+            assert_eq!(d.rows(), 0);
+        }
+        // Row numbers count the block's lines; a failed line leaves no
+        // trace in the columns.
+        let mut d = ChunkDecoder::new(schema.clone());
+        d.push_line("@1,2,true,0.5,a").unwrap();
+        d.push_line("NULL,,,,").unwrap();
+        let e = d.push_line("@3,4,true,0.5,a,extra").unwrap_err();
+        assert_eq!(e.0, "row 3: row has 6 fields, stream has 5 columns");
+        assert_eq!(d.push_line("@3,4,false,bad,a").unwrap_err().0.split(':').next(), Some("row 3"));
+        let chunk = d.finish().unwrap();
+        assert_eq!(chunk.len(), 2);
+        assert!(chunk.row(1).iter().all(Value::is_null));
+    }
+
+    mod chunk_decoder_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One field's text for column type `ty` from a random draw: NULL
+        /// spellings, quoted and bare strings, `@`-prefixed and bare
+        /// timestamps, and the float spellings that matter (NaN, ±inf,
+        /// -0.0, shortest round-trip, exponents).
+        fn field(ty: DataType, pick: u8, x: i64, s: &str) -> String {
+            match (pick % 8, ty) {
+                (0, _) => String::new(),
+                (1, _) => "NULL".into(),
+                (_, DataType::Bool) => (x & 1 == 1).to_string(),
+                (_, DataType::Int) => x.to_string(),
+                (2 | 3, DataType::Timestamp) => format!("@{x}"),
+                (_, DataType::Timestamp) => x.to_string(),
+                (p, DataType::Float) => {
+                    const SPECIAL: [&str; 7] = ["NaN", "inf", "-inf", "-0.0", "1e300", "-2.5E-3", "7"];
+                    match p {
+                        2 => SPECIAL[x.unsigned_abs() as usize % SPECIAL.len()].into(),
+                        3 => format!("{:?}", f64::from_bits(x as u64)),
+                        _ => format!("{}", x as f64 / 1e3),
+                    }
+                }
+                (2..=4, DataType::Str) => {
+                    let mut out = String::new();
+                    encode_value(&mut out, &Value::Str(s.into()));
+                    out
+                }
+                (_, DataType::Str) => s.chars().filter(|c| c.is_ascii_alphanumeric()).collect(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn chunk_decoder_matches_row_decoder(
+                tags in collection::vec(0u8..5, 1..6),
+                cells in collection::vec(
+                    (0u8..8, i64::MIN..i64::MAX, collection::vec(0usize..9, 0..8)),
+                    1..60,
+                ),
+            ) {
+                const CHARS: [char; 9] = [',', '"', '\n', '\\', '\r', '@', 'é', 'N', '7'];
+                let types: Vec<DataType> = tags
+                    .iter()
+                    .map(|&t| datacell_storage::binio::type_from_tag(t).unwrap())
+                    .collect();
+                let defs: Vec<(String, DataType)> =
+                    types.iter().enumerate().map(|(i, &t)| (format!("c{i}"), t)).collect();
+                let schema = Schema::new(
+                    defs.iter().map(|(n, t)| ColumnDef::new(n.clone(), *t)).collect(),
+                );
+                let lines: Vec<String> = cells
+                    .chunks(types.len())
+                    .map(|row| {
+                        row.iter()
+                            .zip(&types)
+                            .map(|((pick, x, cs), &ty)| {
+                                let s: String = cs.iter().map(|&c| CHARS[c]).collect();
+                                field(ty, *pick, *x, &s)
+                            })
+                            .collect::<Vec<_>>()
+                            .join(",")
+                    })
+                    .collect();
+                let (by_cols, by_rows) = both_ways(&schema, &lines);
+                prop_assert_eq!(by_cols, by_rows);
+            }
+        }
+    }
+
     mod roundtrip_props {
         use super::*;
         use proptest::prelude::*;
@@ -803,7 +1181,7 @@ mod tests {
 
             #[test]
             fn text_roundtrip_bit_for_bit(vals in collection::vec(arb_value(), 1..8)) {
-                let line = encode_row(&vals);
+                let line = row_line(&vals);
                 let back = decode_row(&line).unwrap();
                 prop_assert_eq!(back.len(), vals.len());
                 for (b, v) in back.iter().zip(&vals) {

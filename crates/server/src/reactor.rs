@@ -43,7 +43,7 @@ use datacell_core::{
 use polling::{Event, Events, Poller};
 
 use crate::frame::{decode_frame, encode_text, Frame, FrameBuf};
-use crate::protocol::{encode_names, encode_row, err_line, parse_command, Command};
+use crate::protocol::{encode_names, encode_rows, err_line, parse_command, Command};
 use crate::server::SharedState;
 use crate::session::SessionStats;
 
@@ -497,10 +497,7 @@ fn exec(ctx: &Ctx<'_>, conn: &mut Conn, sql: &str) {
         }
         Ok(ExecOutcome::Rows { names, chunk }) => {
             let mut reply = format!("ROWS {} {}\n", chunk.len(), encode_names(&names));
-            for row in chunk.rows() {
-                reply.push_str(&encode_row(&row));
-                reply.push('\n');
-            }
+            encode_rows(&mut reply, chunk.rows());
             conn.reply_text(&reply);
         }
         Err(e) => reply_engine_err(ctx, conn, &e),

@@ -31,11 +31,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use datacell_core::{EngineError, EngineObs, ExecOutcome};
-use datacell_storage::{Chunk, Row};
+use datacell_storage::Chunk;
 
 use crate::protocol::{
-    decode_typed_row, encode_chunk, encode_names, encode_row, err_line, parse_command,
-    Command, PUSH_END,
+    encode_chunk, encode_names, encode_rows, err_line, parse_command, ChunkDecoder, Command,
+    PUSH_END,
 };
 use crate::server::SharedState;
 
@@ -48,11 +48,16 @@ const COMMAND_POLL: Duration = Duration::from_millis(100);
 /// Read/emitter poll interval while streaming.
 const STREAM_POLL: Duration = Duration::from_millis(5);
 
-/// Outcome of one [`LineReader::poll_line`] call.
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Outcome of one [`LineReader::poll_line`] call. `L` is the line: an
+/// owned `String` for callers, a byte range of the reader's buffer inside
+/// the session.
 #[derive(Debug, PartialEq, Eq)]
-pub enum ReadLine {
+pub enum ReadLine<L = String> {
     /// A complete line (terminator stripped).
-    Line(String),
+    Line(L),
     /// A line longer than the protocol limit. Its bytes were discarded
     /// (through the terminating newline), the stream stays in sync, and
     /// the session answers `ERR` instead of tearing the connection down.
@@ -66,29 +71,36 @@ pub enum ReadLine {
 /// Incremental line reader that survives read timeouts: bytes of a
 /// partial line stay buffered across [`ReadLine::Idle`] returns, unlike
 /// `BufRead::read_line` which can lose them into the caller's buffer.
+///
+/// Lines are consumed by advancing an offset into the buffer; the
+/// consumed prefix is compacted away once per socket read, not once per
+/// line.
 pub struct LineReader<R: Read> {
     inner: R,
+    /// Bytes received; `buf[start..]` are not consumed yet.
     buf: Vec<u8>,
+    /// Offset of the first unconsumed byte.
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no newline.
     scanned: usize,
     /// An oversize line is being skipped: drop bytes until its newline,
     /// then report [`ReadLine::Overlong`].
     discarding: bool,
+    /// Read target, allocated (and zeroed) once.
+    scratch: Box<[u8]>,
 }
 
 impl<R: Read> LineReader<R> {
     /// Wrap a byte stream.
     pub fn new(inner: R) -> Self {
-        LineReader { inner, buf: Vec::new(), scanned: 0, discarding: false }
-    }
-
-    fn take_line(&mut self, newline_at: usize) -> String {
-        let mut line: Vec<u8> = self.buf.drain(..=newline_at).collect();
-        line.pop(); // '\n'
-        if line.last() == Some(&b'\r') {
-            line.pop();
+        LineReader {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            discarding: false,
+            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
         }
-        self.scanned = 0;
-        String::from_utf8_lossy(&line).into_owned()
     }
 
     /// Surrender whatever raw bytes are buffered past the last produced
@@ -96,9 +108,12 @@ impl<R: Read> LineReader<R> {
     /// after the handshake line are binary frames and belong to the
     /// reactor's frame reader, not this line reader.
     pub fn take_buffered(&mut self) -> Vec<u8> {
+        let rest = self.buf.split_off(self.start.min(self.buf.len()));
+        self.buf.clear();
+        self.start = 0;
         self.scanned = 0;
         self.discarding = false;
-        std::mem::take(&mut self.buf)
+        rest
     }
 
     /// Try to produce the next line. A read timeout on the underlying
@@ -107,28 +122,55 @@ impl<R: Read> LineReader<R> {
     /// [`ReadLine::Overlong`] — the framing stays intact, so the session
     /// can answer `ERR` and keep serving.
     pub fn poll_line(&mut self) -> io::Result<ReadLine> {
+        Ok(match self.advance()? {
+            ReadLine::Line(r) => ReadLine::Line(String::from_utf8_lossy(self.line(r)).into_owned()),
+            ReadLine::Overlong => ReadLine::Overlong,
+            ReadLine::Eof => ReadLine::Eof,
+            ReadLine::Idle => ReadLine::Idle,
+        })
+    }
+
+    /// The bytes of a line [`LineReader::advance`] just produced. Valid
+    /// until the next `advance`, which may compact the buffer.
+    fn line(&self, range: std::ops::Range<usize>) -> &[u8] {
+        self.buf.get(range).unwrap_or_default()
+    }
+
+    /// [`LineReader::poll_line`] without copying: the line is returned as
+    /// its range in the buffer (see [`LineReader::line`]).
+    fn advance(&mut self) -> io::Result<ReadLine<std::ops::Range<usize>>> {
         loop {
-            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-                if self.discarding {
-                    self.buf.drain(..=self.scanned + pos);
-                    self.scanned = 0;
+            let unscanned = self.buf.get(self.scanned..).unwrap_or_default();
+            if let Some(pos) = unscanned.iter().position(|&b| b == b'\n') {
+                let newline = self.scanned + pos;
+                let line_start = self.start;
+                self.start = newline + 1;
+                self.scanned = self.start;
+                if self.discarding || newline - line_start > MAX_LINE {
                     self.discarding = false;
                     return Ok(ReadLine::Overlong);
                 }
-                return Ok(ReadLine::Line(self.take_line(self.scanned + pos)));
+                let mut end = newline;
+                if end > line_start && self.buf.get(end - 1) == Some(&b'\r') {
+                    end -= 1;
+                }
+                return Ok(ReadLine::Line(line_start..end));
             }
             self.scanned = self.buf.len();
             if self.discarding {
                 // Nothing before a newline matters; drop what is buffered.
-                self.buf.clear();
-                self.scanned = 0;
-            } else if self.buf.len() > MAX_LINE {
-                self.buf.clear();
-                self.scanned = 0;
+                self.clear();
+            } else if self.buf.len() - self.start > MAX_LINE {
+                self.clear();
                 self.discarding = true;
             }
-            let mut tmp = [0u8; 8192];
-            match self.inner.read(&mut tmp) {
+            // Compact once per read: only the partial line moves.
+            if self.start > 0 {
+                self.buf.drain(..self.start);
+                self.scanned -= self.start;
+                self.start = 0;
+            }
+            match self.inner.read(&mut self.scratch) {
                 Ok(0) => {
                     if self.discarding {
                         // Oversize final line, never terminated.
@@ -139,18 +181,23 @@ impl<R: Read> LineReader<R> {
                         return Ok(ReadLine::Eof);
                     }
                     // Final unterminated line.
-                    let line = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    self.scanned = 0;
-                    return Ok(ReadLine::Line(line));
+                    self.start = self.buf.len();
+                    self.scanned = self.start;
+                    return Ok(ReadLine::Line(0..self.start));
                 }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Ok(n) => self.buf.extend_from_slice(self.scratch.get(..n).unwrap_or_default()),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadLine::Idle),
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => return Ok(ReadLine::Idle),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.start = 0;
+        self.scanned = 0;
     }
 }
 
@@ -174,8 +221,8 @@ const OVERLONG_MSG: &str = "protocol line exceeds 1 MiB";
 
 /// One blocking read's outcome at the session level.
 enum Input {
-    /// A complete protocol line.
-    Line(String),
+    /// A complete protocol line: its bytes are `reader.line(range)`.
+    Line(std::ops::Range<usize>),
     /// An oversize line was discarded; answer `ERR`, stay alive.
     Overlong,
     /// Connection closed (or server shutting down).
@@ -298,8 +345,8 @@ impl Session {
     /// silence into [`Input::TimedOut`] instead of waiting forever.
     fn next_input(&mut self, deadline: Option<Instant>) -> io::Result<Input> {
         loop {
-            match self.reader.poll_line()? {
-                ReadLine::Line(l) => return Ok(Input::Line(l)),
+            match self.reader.advance()? {
+                ReadLine::Line(r) => return Ok(Input::Line(r)),
                 ReadLine::Overlong => return Ok(Input::Overlong),
                 ReadLine::Eof => return Ok(Input::Closed),
                 ReadLine::Idle => {
@@ -318,7 +365,7 @@ impl Session {
         loop {
             let deadline = self.shared.tuning.idle_timeout.map(|t| Instant::now() + t);
             let line = match self.next_input(deadline)? {
-                Input::Line(l) => l,
+                Input::Line(r) => String::from_utf8_lossy(self.reader.line(r)).into_owned(),
                 Input::TimedOut => {
                     // Idle-session reaping: tell the client why, then hang
                     // up (best effort — it may be long gone).
@@ -477,31 +524,29 @@ impl Session {
             Ok(ExecOutcome::Rows { names, chunk }) => {
                 let mut reply =
                     format!("ROWS {} {}\n", chunk.len(), encode_names(&names));
-                for row in chunk.rows() {
-                    reply.push_str(&encode_row(&row));
-                    reply.push('\n');
-                }
+                encode_rows(&mut reply, chunk.rows());
                 self.send(&reply)
             }
             Err(e) => self.send_engine_err(&e),
         }
     }
 
-    /// The socket receptor: read CSV rows until [`PUSH_END`], then append
-    /// them to the stream's basket in one batch and evaluate to quiescence
-    /// before acknowledging — so a subsequent `SUBSCRIBE` read on another
-    /// connection observes everything this batch produced.
+    /// The socket receptor: decode CSV rows until [`PUSH_END`] straight
+    /// into typed columns ([`ChunkDecoder`]), append the block to the
+    /// stream's basket as one chunk — the same entry binary `PUSH` uses —
+    /// and evaluate to quiescence before acknowledging, so a subsequent
+    /// `SUBSCRIBE` read on another connection observes everything this
+    /// batch produced.
     fn push(&mut self, stream: &str) -> io::Result<()> {
-        let schema = self.shared.lock_engine().catalog().schema_of(stream);
-        let mut rows: Vec<Row> = Vec::new();
+        let mut decoder = self.shared.lock_engine().catalog().schema_of(stream).map(ChunkDecoder::new);
         let mut bad: Option<String> = None;
         loop {
             // In-frame deadline: a producer that stalls mid-block (between
             // `PUSH` and `END`) must not pin the session forever. The
             // deadline restarts with every row received.
             let deadline = Instant::now() + self.shared.tuning.push_frame_timeout;
-            let line = match self.next_input(Some(deadline))? {
-                Input::Line(l) => l,
+            let range = match self.next_input(Some(deadline))? {
+                Input::Line(r) => r,
                 Input::TimedOut => {
                     // Nothing was applied; the reader is still line-synced,
                     // so the session survives. Any stragglers of the
@@ -515,36 +560,40 @@ impl Session {
                     // An oversize row poisons the batch but not the
                     // session: keep consuming through END, then ERR.
                     if bad.is_none() {
-                        bad = Some(format!("row {}: {OVERLONG_MSG}", rows.len() + 1));
+                        let row = decoder.as_ref().map_or(0, ChunkDecoder::rows) + 1;
+                        bad = Some(format!("row {row}: {OVERLONG_MSG}"));
                     }
                     continue;
                 }
                 // Connection died mid-batch: nothing was applied.
                 Input::Closed => return Ok(()),
             };
+            let line = String::from_utf8_lossy(self.reader.line(range));
             if line.trim().eq_ignore_ascii_case(PUSH_END) {
                 break;
             }
             if bad.is_some() {
                 continue; // keep consuming the block to stay in sync
             }
-            match &schema {
-                Ok(s) => match decode_typed_row(&line, s) {
-                    Ok(r) => rows.push(r),
-                    Err(e) => bad = Some(format!("row {}: {}", rows.len() + 1, e.0)),
-                },
+            match &mut decoder {
+                Ok(d) => bad = d.push_line(&line).err().map(|e| e.0),
                 Err(_) => bad = Some(String::new()), // reported below
             }
         }
-        if let Err(e) = schema {
-            return self.send_err(&EngineError::from(e).to_string());
-        }
+        let decoder = match decoder {
+            Ok(d) => d,
+            Err(e) => return self.send_err(&EngineError::from(e).to_string()),
+        };
         if let Some(msg) = bad {
             return self.send_err(&msg);
         }
+        let chunk = match decoder.finish() {
+            Ok(c) => c,
+            Err(e) => return self.send_err(&e.0),
+        };
         let pushed = {
             let mut engine = self.shared.lock_engine();
-            match engine.push_rows(stream, &rows) {
+            match engine.push_chunk(stream, &chunk) {
                 Ok(n) => {
                     engine.run_until_idle().ok();
                     Ok(n)
@@ -784,6 +833,127 @@ mod tests {
         // EOF flushes the unterminated tail as a final line.
         assert_eq!(r.poll_line().unwrap(), ReadLine::Line("tail".into()));
         assert_eq!(r.poll_line().unwrap(), ReadLine::Eof);
+    }
+
+    /// A reader that hands out scripted slices (or errors), one per read.
+    struct Script(Vec<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let bytes = self.0.remove(0)?;
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn line_reader_consumes_many_lines_from_one_read_by_offset() {
+        let block: String = (0..100).map(|i| format!("@{i},{i}\n")).collect();
+        let mut r = LineReader::new(Script(vec![Ok(block.clone().into_bytes())]));
+        for i in 0..100 {
+            assert_eq!(r.poll_line().unwrap(), ReadLine::Line(format!("@{i},{i}")));
+            // Consumed lines are skipped by offset: the buffer still holds
+            // the whole read until the next one compacts it.
+            assert_eq!(r.buf.len(), block.len());
+        }
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Eof);
+    }
+
+    #[test]
+    fn line_reader_strips_crlf_and_keeps_empty_lines() {
+        let mut r = LineReader::new(Script(vec![Ok(b"A\r\n\r\n\nB\rC\r\nD\r".to_vec())]));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("A".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line(String::new()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line(String::new()));
+        // Only a `\r` right before the newline is a terminator.
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("B\rC".into()));
+        // The unterminated tail at EOF is returned as it is.
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("D\r".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Eof);
+    }
+
+    #[test]
+    fn line_reader_compacts_a_line_split_across_reads_and_timeouts() {
+        let timeout = || Err(io::Error::new(io::ErrorKind::TimedOut, "t"));
+        let mut r = LineReader::new(Script(vec![
+            Ok(b"one\ntwo\nthr".to_vec()),
+            timeout(),
+            Ok(b"ee\r".to_vec()),
+            timeout(),
+            Ok(b"\nfour\n".to_vec()),
+        ]));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("one".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("two".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Idle);
+        // Compacting before the next read moved only the partial line.
+        assert_eq!(r.buf, b"thr");
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Idle);
+        assert_eq!(r.buf, b"three\r");
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("three".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("four".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Eof);
+    }
+
+    #[test]
+    fn line_reader_take_buffered_returns_exactly_the_unconsumed_bytes() {
+        // `HELLO BINARY` handoff with frames pipelined behind the line.
+        let frames = [0x01u8, 5, 0, 0, 0, b'\n', 0xff, b'\r', b'\n', 0];
+        let mut bytes = b"PING\nHELLO BINARY 1\r\n".to_vec();
+        bytes.extend_from_slice(&frames);
+        let mut r = LineReader::new(Script(vec![Ok(bytes)]));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("PING".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("HELLO BINARY 1".into()));
+        assert_eq!(r.take_buffered(), frames);
+        assert!(r.take_buffered().is_empty());
+    }
+
+    #[test]
+    fn line_reader_resyncs_after_an_overlong_line_in_the_same_read() {
+        let mut bytes = b"A\n".to_vec();
+        bytes.extend(std::iter::repeat_n(b'x', MAX_LINE + 1));
+        bytes.extend_from_slice(b"\nB\n");
+        let parts = bytes.chunks(READ_CHUNK).map(|c| Ok(c.to_vec())).collect();
+        let mut r = LineReader::new(Script(parts));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("A".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Overlong);
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Line("B".into()));
+        assert_eq!(r.poll_line().unwrap(), ReadLine::Eof);
+    }
+
+    #[test]
+    fn push_errors_keep_their_row_numbered_text() {
+        let server = crate::Server::start(crate::ServerConfig {
+            init_script: Some(
+                "CREATE STREAM s (ts TIMESTAMP, v BIGINT, ok BOOLEAN, x DOUBLE, tag VARCHAR)"
+                    .into(),
+            ),
+            ..crate::ServerConfig::default()
+        })
+        .unwrap();
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut replies = LineReader::new(c.try_clone().unwrap());
+        let good = "@1,2,true,0.5,a\n";
+        let oversize = format!("{good}{}\n", "9".repeat(2 * MAX_LINE));
+        let cases = [
+            ("@1,2\n".to_string(), "ERR row 1: row has 2 fields, stream has 5 columns"),
+            (format!("{good}@1,x,true,0.5,a\n"), "ERR row 2: column \"v\" (Int): bad field \"x\""),
+            (format!("{good}{good}@1,2,maybe,0.5,a\n"), "ERR row 3: column \"ok\" (Bool): bad field \"maybe\""),
+            ("@1,2,true,o.5,a\n".to_string(), "ERR row 1: column \"x\" (Float): bad field \"o.5\""),
+            ("@1,2,true,0.5,\"a\\q\"\n".to_string(), "ERR row 1: bad escape \\q in quoted field"),
+            (format!("{good}@1,2,true,0.5,\"open\n"), "ERR row 2: unterminated quoted field"),
+            (oversize, "ERR row 2: protocol line exceeds 1 MiB"),
+            (format!("{good}NULL,,,,\"x,\"\"y\"\"\\n\"\n"), "OK PUSHED 2"),
+        ];
+        for (block, want) in cases {
+            c.write_all(format!("PUSH s\n{block}END\n").as_bytes()).unwrap();
+            assert_eq!(replies.poll_line().unwrap(), ReadLine::Line(want.into()));
+        }
+        server.with_engine(|e| assert_eq!(e.stats().baskets[0].arrived, 2));
+        server.shutdown();
     }
 
     #[test]

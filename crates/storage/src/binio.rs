@@ -282,6 +282,63 @@ pub fn encode_batch(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
     }
 }
 
+/// Columnar twin of [`encode_batch`]: encode a chunk's rows without
+/// materializing them, writing exactly the bytes
+/// `encode_batch(buf, schema, &chunk.rows().collect::<Vec<_>>())` writes —
+/// the WAL record of a durable `PUSH` does not depend on which path built
+/// it. A column of the schema's exact type is copied straight from its
+/// typed buffer; a missing or differently typed column goes cell by cell
+/// through the same coercion `encode_batch` applies.
+pub fn encode_batch_chunk(buf: &mut Vec<u8>, schema: &Schema, chunk: &crate::chunk::Chunk) {
+    let nrows = chunk.len();
+    put_u32(buf, schema.arity() as u32);
+    put_u32(buf, nrows as u32);
+    for (j, col) in schema.columns().iter().enumerate() {
+        put_u8(buf, type_tag(col.ty));
+        let bat = chunk.columns().get(j);
+        // Row-path semantics: a missing column is all NULL, and the map is
+        // written only when a slot actually is NULL (an all-true validity
+        // map does not count).
+        let valid = |i: usize| bat.is_some_and(|b| !b.is_null_at(i));
+        let any_null = match bat {
+            None => nrows > 0,
+            Some(b) => b.validity().is_some_and(|v| v.contains(&false)),
+        };
+        put_u8(buf, any_null as u8);
+        if any_null {
+            buf.extend((0..nrows).map(|i| valid(i) as u8));
+        }
+        match bat.filter(|b| b.data_type() == col.ty).map(Bat::data) {
+            Some(Vector::Int(v) | Vector::Timestamp(v)) => {
+                for (i, &x) in v.iter().enumerate() {
+                    put_i64(buf, if valid(i) { x } else { 0 });
+                }
+            }
+            Some(Vector::Float(v)) => {
+                for (i, &x) in v.iter().enumerate() {
+                    put_f64(buf, if valid(i) { x } else { 0.0 });
+                }
+            }
+            Some(Vector::Bool(v)) => {
+                buf.extend(v.iter().enumerate().map(|(i, &b)| (valid(i) && b) as u8));
+            }
+            Some(Vector::Str(v)) => {
+                for (i, s) in v.iter().enumerate() {
+                    put_str(buf, if valid(i) { s } else { "" });
+                }
+            }
+            None => {
+                for i in 0..nrows {
+                    let v = bat
+                        .and_then(|b| b.get_at(i).coerce(col.ty))
+                        .unwrap_or(Value::Null);
+                    encode_cell(buf, col.ty, &v);
+                }
+            }
+        }
+    }
+}
+
 fn encode_cell(buf: &mut Vec<u8>, ty: DataType, v: &Value) {
     match ty {
         DataType::Bool => put_u8(buf, matches!(v, Value::Bool(true)) as u8),
@@ -623,6 +680,103 @@ mod tests {
         let mut buf = Vec::new();
         assert!(end_frame(&mut buf, 3).is_err());
         assert!(end_frame(&mut Vec::new(), 0).is_err());
+    }
+
+    #[test]
+    fn chunk_batch_encoding_coerces_like_the_row_path() {
+        // A differently typed column and a missing one take the per-cell
+        // path and still match `encode_batch` byte for byte.
+        let schema = Schema::of(&[
+            ("f", DataType::Float),
+            ("t", DataType::Timestamp),
+            ("s", DataType::Str),
+        ]);
+        let mut ints = Bat::new(DataType::Int);
+        for v in [Value::Int(3), Value::Null, Value::Int(-8)] {
+            ints.push(&v).unwrap();
+        }
+        for chunk in [
+            Chunk::new(vec![ints.clone(), ints.clone()]).unwrap(),
+            Chunk::new(vec![ints.clone(), ints.clone(), ints]).unwrap(),
+        ] {
+            let rows: Vec<Row> = chunk.rows().collect();
+            let (mut by_rows, mut by_cols) = (Vec::new(), Vec::new());
+            encode_batch(&mut by_rows, &schema, &rows);
+            encode_batch_chunk(&mut by_cols, &schema, &chunk);
+            assert_eq!(by_cols, by_rows);
+        }
+    }
+
+    mod chunk_batch_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn mix(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn value(ty: DataType, h: u64) -> Value {
+            const SPECIAL: [f64; 6] = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 0.1];
+            const CHARS: [char; 7] = ['"', ',', '\\', '\n', 'é', 'a', '@'];
+            match ty {
+                DataType::Bool => Value::Bool(h & 1 == 1),
+                DataType::Int => Value::Int(h as i64),
+                DataType::Timestamp => Value::Timestamp((h >> 3) as i64 - (1 << 59)),
+                DataType::Float => Value::Float(match h % 3 {
+                    0 => f64::from_bits(h),
+                    1 => SPECIAL[(h >> 8) as usize % SPECIAL.len()],
+                    _ => (h >> 11) as f64 / 1e6,
+                }),
+                DataType::Str => Value::Str(
+                    (0..(h % 9) as usize)
+                        .map(|k| CHARS[(mix(h ^ k as u64) % CHARS.len() as u64) as usize])
+                        .collect(),
+                ),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(384))]
+
+            /// Columns: (type tag, NULL mode, seed). NULL mode 0 = none,
+            /// 1 = real NULLs, 2 = an all-true validity map (the column's
+            /// only NULL sits in a row sliced off the window).
+            #[test]
+            fn chunk_batch_bytes_equal_row_batch_bytes(
+                nrows in 0usize..24,
+                spec in prop::collection::vec((0u8..5, 0u8..3, 0u64..u64::MAX), 1..6),
+            ) {
+                let mut cols = Vec::new();
+                let mut defs = Vec::new();
+                for (j, &(tag, nulls, seed)) in spec.iter().enumerate() {
+                    let ty = type_from_tag(tag).unwrap();
+                    let mut bat = Bat::new(ty);
+                    for i in 0..=nrows {
+                        let h = mix(seed ^ i as u64);
+                        let null = match nulls {
+                            1 => h.is_multiple_of(3),
+                            2 => i == 0,
+                            _ => false,
+                        };
+                        let v = if null { Value::Null } else { value(ty, h) };
+                        bat.push(&v).unwrap();
+                    }
+                    cols.push(bat);
+                    defs.push(ColumnDef::new(format!("c{j}"), ty));
+                }
+                let schema = Schema::new(defs);
+                // Drop row 0: mode-2 columns keep an all-true validity map.
+                let chunk = Chunk::new(cols).unwrap().slice_oids(1, nrows as u64 + 1);
+                let rows: Vec<Row> = chunk.rows().collect();
+                let (mut by_rows, mut by_cols) = (Vec::new(), Vec::new());
+                encode_batch(&mut by_rows, &schema, &rows);
+                encode_batch_chunk(&mut by_cols, &schema, &chunk);
+                prop_assert_eq!(by_cols, by_rows);
+            }
+        }
     }
 
     #[test]

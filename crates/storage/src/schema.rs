@@ -100,12 +100,15 @@ impl Schema {
     }
 
     /// Columnar analogue of [`validate_row`](Self::validate_row): check a
-    /// whole decoded [`Chunk`](crate::chunk::Chunk) against this schema in
-    /// O(arity) — exact arity, exact column types (wire decoding already
-    /// produced typed columns, so no per-cell coercion applies), and no
-    /// NULL slot under a NOT NULL column. Gate for the binary `PUSH`
-    /// ingest path, which appends columns wholesale without ever
-    /// materializing rows.
+    /// whole decoded [`Chunk`](crate::chunk::Chunk) against this schema —
+    /// exact arity, exact column types (wire decoding already produced
+    /// typed columns, so no per-cell coercion applies), and no NULL slot
+    /// under a NOT NULL column. Gate for the `PUSH` ingest paths, which
+    /// append columns wholesale without ever materializing rows; a chunk
+    /// that passes would pass `validate_row` on every one of its rows.
+    ///
+    /// A NOT NULL violation names the column `validate_row` would have
+    /// named: the one holding the earliest NULL row (leftmost on ties).
     pub fn validate_chunk(&self, chunk: &crate::chunk::Chunk) -> Result<()> {
         if chunk.arity() != self.arity() {
             return Err(StorageError::ArityMismatch {
@@ -113,6 +116,7 @@ impl Schema {
                 found: chunk.arity(),
             });
         }
+        let mut first_null: Option<(usize, &ColumnDef)> = None;
         for (col, def) in chunk.columns().iter().zip(&self.columns) {
             if col.data_type() != def.ty {
                 return Err(StorageError::TypeMismatch {
@@ -120,11 +124,20 @@ impl Schema {
                     found: col.data_type(),
                 });
             }
-            if def.not_null && col.has_nulls() {
-                return Err(StorageError::NullViolation(def.name.clone()));
+            if !def.not_null {
+                continue;
+            }
+            let row = col.validity().and_then(|v| v.iter().position(|&valid| !valid));
+            if let Some(row) = row {
+                if first_null.is_none_or(|(best, _)| row < best) {
+                    first_null = Some((row, def));
+                }
             }
         }
-        Ok(())
+        match first_null {
+            Some((_, def)) => Err(StorageError::NullViolation(def.name.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Append another schema's columns (for join output schemas). Columns
@@ -227,6 +240,36 @@ mod tests {
             s.validate_row(&vec![Value::Str("x".into()), Value::Null, Value::Null]),
             Err(StorageError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn validate_chunk_names_the_earliest_null_like_validate_row() {
+        use crate::bat::Bat;
+        use crate::chunk::Chunk;
+        let s = Schema::new(vec![
+            ColumnDef::not_null("a", DataType::Int),
+            ColumnDef::not_null("b", DataType::Int),
+        ]);
+        let col = |vals: &[Option<i64>]| {
+            let mut b = Bat::new(DataType::Int);
+            for v in vals {
+                b.push(&v.map_or(Value::Null, Value::Int)).unwrap();
+            }
+            b
+        };
+        // Row 0 breaks `b`, row 1 breaks `a`: row-major validation names `b`.
+        let chunk = Chunk::new(vec![col(&[Some(1), None]), col(&[None, Some(2)])]).unwrap();
+        let rows: Vec<Row> = chunk.rows().collect();
+        let by_row = rows.iter().find_map(|r| s.validate_row(r).err()).unwrap();
+        let by_chunk = s.validate_chunk(&chunk).unwrap_err();
+        assert_eq!(by_chunk.to_string(), by_row.to_string());
+        assert!(matches!(by_chunk, StorageError::NullViolation(ref c) if c == "b"));
+        // A window whose validity map is all true holds no NULL at all.
+        let sliced = Chunk::new(vec![col(&[None, Some(1)]), col(&[Some(0), Some(2)])])
+            .unwrap()
+            .slice_oids(1, 2);
+        assert!(sliced.column(0).has_nulls());
+        s.validate_chunk(&sliced).unwrap();
     }
 
     #[test]
