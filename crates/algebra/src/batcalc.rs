@@ -657,8 +657,7 @@ mod tests {
         let wrapping = Bat::from_ints(vec![i64::MAX, i64::MIN, 1, 7, -1, i64::MAX]);
         let stamps = Bat::from_vector(Vector::Timestamp(vec![30, -5, 10, 0, 99, 20].into()), 0);
         for vals in [&ints, &wrapping, &stamps] {
-            for cand in
-                [None, Some(Candidates::range(1, 5)), Some(Candidates::List(vec![0, 2, 5]))]
+            for cand in [None, Some(Candidates::range(1, 5)), Some(Candidates::List(vec![0, 2, 5]))]
             {
                 let map = group_by(&[&keys], cand.as_ref()).unwrap();
                 for kind in all_kinds() {

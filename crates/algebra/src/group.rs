@@ -5,8 +5,8 @@
 //! aggregate then runs over the value column steered by the group ids. NULL
 //! keys form their own single group (SQL GROUP BY semantics).
 
-use std::collections::HashMap;
 use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use datacell_storage::{Bat, Chunk};
@@ -64,10 +64,9 @@ pub fn group_by(keys: &[&Bat], cand: Option<&Candidates>) -> Result<GroupMap> {
     if let [key] = keys {
         if !key.has_nulls() {
             if let Some(ints) = key.data().as_ints() {
-                return Ok(group_typed::<_, BuildHasherDefault<IntKeyHasher>>(
-                    &positions,
-                    |p| ints[p],
-                ));
+                return Ok(group_typed::<_, BuildHasherDefault<IntKeyHasher>>(&positions, |p| {
+                    ints[p]
+                }));
             }
             if let Some(strs) = key.data().as_strs() {
                 return Ok(group_typed::<_, RandomState>(&positions, |p| strs[p].as_str()));

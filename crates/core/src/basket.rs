@@ -702,10 +702,8 @@ mod tests {
     fn durable_push_chunk_logs_the_push_rows_record() {
         use datacell_wal::{SharedStats, StreamBatch, SyncPolicy};
         use std::sync::Arc;
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos();
+        let nanos =
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos();
         let open = |tag: &str| {
             let dir = std::env::temp_dir().join(format!("datacell-basket-{tag}-{nanos}"));
             let stats = Arc::new(SharedStats::default());

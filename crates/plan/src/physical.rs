@@ -12,8 +12,7 @@ use std::collections::HashMap;
 
 use datacell_algebra::{
     aggregate_all, aggregate_groups, fetch_chunk, fused_global_state, fused_grouped_states,
-    group_by, hash_join, sort_positions, states_to_bat, AggState, Candidates, SortKey,
-    SortOrder,
+    group_by, hash_join, sort_positions, states_to_bat, AggState, Candidates, SortKey, SortOrder,
 };
 use datacell_storage::{Bat, Chunk};
 
@@ -260,9 +259,7 @@ pub fn aggregate_states(
         let states = match (fused_grouped_states(spec.kind, vals.as_ref(), &map, None), &vals) {
             (Some(states), _) => states,
             (None, Some(v)) => aggregate_groups(spec.kind, v, &map, None)?,
-            (None, None) => {
-                return Err(PlanError::Internal("COUNT(*) kernel declined".into()))
-            }
+            (None, None) => return Err(PlanError::Internal("COUNT(*) kernel declined".into())),
         };
         agg_states.push(states);
     }
@@ -501,9 +498,7 @@ mod tests {
             Bat::from_floats(vec![-0.0, f64::NAN, 0.0, f64::NAN]),
             nullable,
             Bat::from_vector(
-                datacell_storage::Vector::from(
-                    ["b", "a", "c", "a"].map(String::from).to_vec(),
-                ),
+                datacell_storage::Vector::from(["b", "a", "c", "a"].map(String::from).to_vec()),
                 0,
             ),
         ])

@@ -675,7 +675,10 @@ impl ChunkDecoder {
             let cells = row.into_iter().zip(self.schema.columns()).zip(&mut self.columns);
             for ((value, def), col) in cells {
                 if !col.push_value(value) {
-                    return Err(err(format!("column {:?}: decoded a {:?} of another type", def.name, def.ty)));
+                    return Err(err(format!(
+                        "column {:?}: decoded a value that is not {:?}",
+                        def.name, def.ty
+                    )));
                 }
             }
             return Ok(());
@@ -698,11 +701,8 @@ impl ChunkDecoder {
     /// The decoded block as one chunk (OID heads at 0; the receiving
     /// basket renumbers on append).
     pub fn finish(self) -> Result<Chunk, ProtocolError> {
-        let columns = self
-            .columns
-            .into_iter()
-            .map(TypedColumn::into_bat)
-            .collect::<Result<Vec<_>, _>>()?;
+        let columns =
+            self.columns.into_iter().map(TypedColumn::into_bat).collect::<Result<Vec<_>, _>>()?;
         Chunk::new(columns).map_err(|e| err(e.to_string()))
     }
 }
@@ -902,10 +902,7 @@ mod tests {
         assert_eq!(row_line(&[Value::Float(2.0)]), "2.0");
         assert_eq!(row_line(&[Value::Timestamp(5)]), "@5");
         assert_eq!(row_line(&[Value::Str("a\"b".into())]), "\"a\"\"b\"");
-        assert_eq!(
-            row_line(&[Value::Int(1), Value::Str("x,y".into())]),
-            "1,\"x,y\""
-        );
+        assert_eq!(row_line(&[Value::Int(1), Value::Str("x,y".into())]), "1,\"x,y\"");
         // The writer appends to what the caller already has.
         let mut out = String::from("PUSH s\n");
         encode_rows(&mut out, [vec![Value::Null, Value::Bool(false)], vec![Value::Int(-3)]]);
@@ -1075,7 +1072,8 @@ mod tests {
                 (2 | 3, DataType::Timestamp) => format!("@{x}"),
                 (_, DataType::Timestamp) => x.to_string(),
                 (p, DataType::Float) => {
-                    const SPECIAL: [&str; 7] = ["NaN", "inf", "-inf", "-0.0", "1e300", "-2.5E-3", "7"];
+                    const SPECIAL: [&str; 7] =
+                        ["NaN", "inf", "-inf", "-0.0", "1e300", "-2.5E-3", "7"];
                     match p {
                         2 => SPECIAL[x.unsigned_abs() as usize % SPECIAL.len()].into(),
                         3 => format!("{:?}", f64::from_bits(x as u64)),

@@ -109,9 +109,7 @@ impl<R: Read> LineReader<R> {
     /// reactor's frame reader, not this line reader.
     pub fn take_buffered(&mut self) -> Vec<u8> {
         let rest = self.buf.split_off(self.start.min(self.buf.len()));
-        self.buf.clear();
-        self.start = 0;
-        self.scanned = 0;
+        self.clear();
         self.discarding = false;
         rest
     }
@@ -538,7 +536,8 @@ impl Session {
     /// `SUBSCRIBE` read on another connection observes everything this
     /// batch produced.
     fn push(&mut self, stream: &str) -> io::Result<()> {
-        let mut decoder = self.shared.lock_engine().catalog().schema_of(stream).map(ChunkDecoder::new);
+        let schema = self.shared.lock_engine().catalog().schema_of(stream);
+        let mut decoder = schema.map(ChunkDecoder::new);
         let mut bad: Option<String> = None;
         loop {
             // In-frame deadline: a producer that stalls mid-block (between
@@ -941,7 +940,10 @@ mod tests {
         let cases = [
             ("@1,2\n".to_string(), "ERR row 1: row has 2 fields, stream has 5 columns"),
             (format!("{good}@1,x,true,0.5,a\n"), "ERR row 2: column \"v\" (Int): bad field \"x\""),
-            (format!("{good}{good}@1,2,maybe,0.5,a\n"), "ERR row 3: column \"ok\" (Bool): bad field \"maybe\""),
+            (
+                format!("{good}{good}@1,2,maybe,0.5,a\n"),
+                "ERR row 3: column \"ok\" (Bool): bad field \"maybe\"",
+            ),
             ("@1,2,true,o.5,a\n".to_string(), "ERR row 1: column \"x\" (Float): bad field \"o.5\""),
             ("@1,2,true,0.5,\"a\\q\"\n".to_string(), "ERR row 1: bad escape \\q in quoted field"),
             (format!("{good}@1,2,true,0.5,\"open\n"), "ERR row 2: unterminated quoted field"),

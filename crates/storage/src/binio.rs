@@ -329,9 +329,7 @@ pub fn encode_batch_chunk(buf: &mut Vec<u8>, schema: &Schema, chunk: &crate::chu
             }
             None => {
                 for i in 0..nrows {
-                    let v = bat
-                        .and_then(|b| b.get_at(i).coerce(col.ty))
-                        .unwrap_or(Value::Null);
+                    let v = bat.and_then(|b| b.get_at(i).coerce(col.ty)).unwrap_or(Value::Null);
                     encode_cell(buf, col.ty, &v);
                 }
             }
@@ -686,11 +684,8 @@ mod tests {
     fn chunk_batch_encoding_coerces_like_the_row_path() {
         // A differently typed column and a missing one take the per-cell
         // path and still match `encode_batch` byte for byte.
-        let schema = Schema::of(&[
-            ("f", DataType::Float),
-            ("t", DataType::Timestamp),
-            ("s", DataType::Str),
-        ]);
+        let schema =
+            Schema::of(&[("f", DataType::Float), ("t", DataType::Timestamp), ("s", DataType::Str)]);
         let mut ints = Bat::new(DataType::Int);
         for v in [Value::Int(3), Value::Null, Value::Int(-8)] {
             ints.push(&v).unwrap();
@@ -719,7 +714,8 @@ mod tests {
         }
 
         fn value(ty: DataType, h: u64) -> Value {
-            const SPECIAL: [f64; 6] = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 0.1];
+            const SPECIAL: [f64; 6] =
+                [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 0.1];
             const CHARS: [char; 7] = ['"', ',', '\\', '\n', 'é', 'a', '@'];
             match ty {
                 DataType::Bool => Value::Bool(h & 1 == 1),
