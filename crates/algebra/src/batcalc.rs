@@ -674,9 +674,9 @@ mod tests {
     fn fused_grouped_matches_scalar_float() {
         let keys = Bat::from_ints(vec![7, 8, 7, 8]);
         let vals = Bat::from_floats(vec![0.1, 0.2, 0.3, 0.4]);
-        // Accumulation order shows in the bits: 1e16 + 1 + 1 - 1e16 is 0
-        // left to right, 2 in any order that adds the ones first.
-        let order = Bat::from_floats(vec![1e16, 1.0, 1.0, -0.0, -1e16, -0.0]);
+        // Accumulation order shows in the bits: 1 + 1e16 + 1 - 1e16 is 0
+        // left to right (each 1 rounds away), 1 right to left.
+        let order = Bat::from_floats(vec![1.0, 1e16, 1.0, -0.0, -1e16, -0.0]);
         let order_keys = Bat::from_ints(vec![1, 1, 1, 2, 1, 2]);
         for (keys, vals) in [(&keys, &vals), (&order_keys, &order)] {
             let map = group_by(&[keys], None).unwrap();
@@ -749,7 +749,7 @@ mod tests {
     fn fused_global_float_bit_identical() {
         // Same accumulation order as the scalar path ⇒ bit-identical sums.
         let vals = Bat::from_floats(vec![0.1, 0.7, 1e-9, 3.3, -0.5]);
-        let order = Bat::from_floats(vec![1e16, 1.0, 1.0, -1e16, -0.0, f64::NAN]);
+        let order = Bat::from_floats(vec![1.0, 1e16, 1.0, -1e16, -0.0, f64::NAN]);
         for (vals, cand) in [
             (&vals, Candidates::range(1, 4)),
             (&order, Candidates::range(0, 5)),

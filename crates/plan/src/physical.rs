@@ -494,7 +494,7 @@ mod tests {
             Bat::from_ints(vec![1, 2, 1, 1]),
             Bat::from_ints(vec![i64::MAX, 5, 1, i64::MAX]),
             Bat::from_vector(datacell_storage::Vector::Timestamp(vec![9, -2, 4, 7].into()), 0),
-            Bat::from_floats(vec![1e16, 0.5, 1.0, -1e16]),
+            Bat::from_floats(vec![1.0, 0.5, 1e16, -1e16]),
             Bat::from_floats(vec![-0.0, f64::NAN, 0.0, f64::NAN]),
             nullable,
             Bat::from_vector(
