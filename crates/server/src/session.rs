@@ -87,7 +87,7 @@ pub struct LineReader<R: Read> {
     /// then report [`ReadLine::Overlong`].
     discarding: bool,
     /// Read target, allocated (and zeroed) once.
-    scratch: Box<[u8]>,
+    read_buf: Box<[u8]>,
 }
 
 impl<R: Read> LineReader<R> {
@@ -99,7 +99,7 @@ impl<R: Read> LineReader<R> {
             start: 0,
             scanned: 0,
             discarding: false,
-            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         }
     }
 
@@ -168,7 +168,7 @@ impl<R: Read> LineReader<R> {
                 self.scanned -= self.start;
                 self.start = 0;
             }
-            match self.inner.read(&mut self.scratch) {
+            match self.inner.read(&mut self.read_buf) {
                 Ok(0) => {
                     if self.discarding {
                         // Oversize final line, never terminated.
@@ -183,7 +183,7 @@ impl<R: Read> LineReader<R> {
                     self.scanned = self.start;
                     return Ok(ReadLine::Line(0..self.start));
                 }
-                Ok(n) => self.buf.extend_from_slice(self.scratch.get(..n).unwrap_or_default()),
+                Ok(n) => self.buf.extend_from_slice(self.read_buf.get(..n).unwrap_or_default()),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadLine::Idle),
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => return Ok(ReadLine::Idle),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
